@@ -7,8 +7,7 @@
  * matter most.
  *
  * Runs on the SweepRunner (`--threads=N`); results are identical
- * at any thread count.  Emits BENCH_ablation_arbitration.json and
- * a PERF_ablation_arbitration.json timing sidecar.
+ * at any thread count.  Emits BENCH_ablation_arbitration.json.
  */
 
 #include <iostream>
@@ -145,7 +144,5 @@ main(int argc, char **argv)
         }
         json.endArray();
     }
-    writePerfSidecar("ablation_arbitration", runner,
-                     taskLabels(tasks));
     return 0;
 }

@@ -7,8 +7,7 @@
  * flattening early while FIFO's creeps up slowly.
  *
  * Runs on the SweepRunner (`--threads=N`); results are identical
- * at any thread count.  Emits BENCH_ablation_bufferdepth.json and
- * a PERF_ablation_bufferdepth.json timing sidecar.
+ * at any thread count.  Emits BENCH_ablation_bufferdepth.json.
  */
 
 #include <iostream>
@@ -119,7 +118,5 @@ main(int argc, char **argv)
         }
         json.endArray();
     }
-    writePerfSidecar("ablation_bufferdepth", runner,
-                     taskLabels(tasks));
     return 0;
 }

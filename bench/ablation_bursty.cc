@@ -13,8 +13,7 @@
  * FIFO shares storage but clogs on head-of-line blocking.
  *
  * Runs on the SweepRunner (`--threads=N`); results are identical
- * at any thread count.  Emits BENCH_ablation_bursty.json and a
- * PERF_ablation_bursty.json timing sidecar.
+ * at any thread count.  Emits BENCH_ablation_bursty.json.
  */
 
 #include <iostream>
@@ -155,6 +154,5 @@ main(int argc, char **argv)
         }
         json.endArray();
     }
-    writePerfSidecar("ablation_bursty", runner, taskLabels(tasks));
     return 0;
 }

@@ -8,8 +8,7 @@
  * four buffer organizations, uniform and transpose traffic.
  *
  * Runs on the SweepRunner (`--threads=N`); results are identical
- * at any thread count.  Emits BENCH_ablation_mesh.json and a
- * PERF_ablation_mesh.json timing sidecar.
+ * at any thread count.  Emits BENCH_ablation_mesh.json.
  */
 
 #include <iostream>
@@ -214,6 +213,5 @@ main(int argc, char **argv)
         json.field("damq", sat_check[1].saturationThroughput);
         json.endObject();
     }
-    writePerfSidecar("ablation_mesh", runner, taskLabels(tasks));
     return 0;
 }

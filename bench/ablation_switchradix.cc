@@ -9,8 +9,7 @@
  * count.
  *
  * Runs on the SweepRunner (`--threads=N`); results are identical
- * at any thread count.  Emits BENCH_ablation_switchradix.json and
- * a PERF_ablation_switchradix.json timing sidecar.
+ * at any thread count.  Emits BENCH_ablation_switchradix.json.
  */
 
 #include <iostream>
@@ -161,7 +160,5 @@ main(int argc, char **argv)
         }
         json.endArray();
     }
-    writePerfSidecar("ablation_switchradix", runner,
-                     taskLabels(tasks));
     return 0;
 }

@@ -21,8 +21,7 @@
  * Both sweeps run through SweepRunner::mapGuarded, so a wedged or
  * crashing point is reported (and retried once) instead of sinking
  * the whole bench; task dispositions land in the BENCH JSON.
- * Emits BENCH_degradation.json and a PERF_degradation.json timing
- * sidecar.
+ * Emits BENCH_degradation.json.
  */
 
 #include <functional>
@@ -440,6 +439,5 @@ main(int argc, char **argv)
         }
         json.endArray();
     }
-    writePerfSidecar("degradation", runner, labels);
     return 0;
 }

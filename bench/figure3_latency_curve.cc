@@ -7,9 +7,8 @@
  * further right.  Prints the two series and an ASCII rendering.
  *
  * Runs on the SweepRunner (`--threads=N`); results are identical
- * at any thread count.  Emits BENCH_figure3_latency_curve.json, a
- * flat figure3_latency_curve.csv of the two series, and a
- * PERF_figure3_latency_curve.json timing sidecar.
+ * at any thread count.  Emits BENCH_figure3_latency_curve.json and
+ * a flat figure3_latency_curve.csv of the two series.
  */
 
 #include <algorithm>
@@ -211,7 +210,5 @@ main(int argc, char **argv)
         std::cerr << "wrote " << csv_path << "\n";
     }
 
-    writePerfSidecar("figure3_latency_curve", runner,
-                     taskLabels(tasks));
     return 0;
 }

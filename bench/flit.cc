@@ -27,8 +27,7 @@
  * get, shared (DAMQ/FIFO) or statically split (SAMQ/SAFC).
  *
  * Runs on the SweepRunner (`--threads=N`); results are identical
- * at any thread count.  Emits BENCH_flit.json and a PERF_flit.json
- * timing sidecar.
+ * at any thread count.  Emits BENCH_flit.json.
  */
 
 #include <iostream>
@@ -411,11 +410,5 @@ main(int argc, char **argv)
         }
         json.endArray();
     }
-    writePerfSidecar("flit", runner, [&] {
-        std::vector<std::string> labels;
-        for (const Task &task : tasks)
-            labels.push_back(task.label);
-        return labels;
-    }());
     return 0;
 }

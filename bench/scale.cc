@@ -23,8 +23,7 @@
  * fields are still identical run to run; the speedup block is
  * expected to vary with the host, whose hardwareConcurrency is
  * recorded alongside (speedups are only meaningful when the host
- * has at least as many cores as shards).  The full per-task timing
- * breakdown is mirrored in the PERF_scale.json sidecar as usual.
+ * has at least as many cores as shards).
  *
  * The sweep runner is told to use one thread by default: the
  * shards provide the parallelism here, and letting sweep tasks run
@@ -323,39 +322,5 @@ main(int argc, char **argv)
         json.endArray();
     }
 
-    // The PERF sidecar, written by hand because the points span
-    // two sweep-runner maps (the torus and Omega config types).
-    {
-        const std::string path = "PERF_scale.json";
-        std::ofstream file(path);
-        if (!file)
-            damq_fatal("cannot open ", path, " for writing");
-        JsonWriter json(file);
-        json.beginObject();
-        json.field("schema", "damq-perf-v1");
-        json.field("bench", "scale");
-        json.field("threads",
-                   static_cast<std::uint64_t>(runner.threads()));
-        json.field("hardwareConcurrency",
-                   static_cast<std::uint64_t>(cores));
-        json.key("tasks");
-        json.beginArray();
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            const Point &p = points[i];
-            json.beginObject();
-            json.field("index", static_cast<std::uint64_t>(i));
-            json.field("label",
-                       detail::concat(p.workload, "/",
-                                      formatFixed(p.load, 2), "/s",
-                                      p.shards));
-            json.field("wallSeconds", p.wallSeconds);
-            json.field("packetHopsPerSecond",
-                       p.packetHops / p.wallSeconds);
-            json.endObject();
-        }
-        json.endArray();
-        json.endObject();
-        std::cerr << "wrote " << path << "\n";
-    }
     return 0;
 }

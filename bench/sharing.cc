@@ -29,8 +29,7 @@
  * are reported, not gated.)
  *
  * Runs on the SweepRunner (`--threads=N`); results are identical
- * at any thread count.  Emits BENCH_sharing.json and a
- * PERF_sharing.json timing sidecar.
+ * at any thread count.  Emits BENCH_sharing.json.
  */
 
 #include <iostream>
@@ -385,11 +384,5 @@ main(int argc, char **argv)
         }
         json.endArray();
     }
-    writePerfSidecar("sharing", runner, [&] {
-        std::vector<std::string> labels;
-        for (const Task &task : tasks)
-            labels.push_back(task.label);
-        return labels;
-    }());
     return 0;
 }

@@ -13,8 +13,7 @@
  * discards.
  *
  * Runs on the SweepRunner (`--threads=N`); results are identical
- * at any thread count.  Emits BENCH_table3_discarding.json and a
- * PERF_table3_discarding.json timing sidecar.
+ * at any thread count.  Emits BENCH_table3_discarding.json.
  */
 
 #include <iostream>
@@ -159,6 +158,5 @@ main(int argc, char **argv)
         json.endArray();
     }
 
-    writePerfSidecar("table3_discarding", runner, taskLabels(tasks));
     return 0;
 }

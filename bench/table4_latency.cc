@@ -11,8 +11,8 @@
  * FIFO's at equal storage (paper: 0.70 vs 0.51).
  *
  * Runs on the SweepRunner (`--threads=N`); results are identical
- * at any thread count.  Emits BENCH_table4_latency.json and a
- * PERF_table4_latency.json timing sidecar beside the text table.
+ * at any thread count.  Emits BENCH_table4_latency.json beside the
+ * text table.
  */
 
 #include <iostream>
@@ -68,6 +68,5 @@ main(int argc, char **argv)
         BenchJsonFile out("table4_latency");
         writeTable4Json(out.json(), data);
     }
-    writePerfSidecar("table4_latency", runner, data.taskLabels);
     return 0;
 }

@@ -8,8 +8,7 @@
  * FIFO-8 (0.56) stays below DAMQ-3 (0.63).
  *
  * Runs on the SweepRunner (`--threads=N`); results are identical
- * at any thread count.  Emits BENCH_table5_slots.json and a
- * PERF_table5_slots.json timing sidecar.
+ * at any thread count.  Emits BENCH_table5_slots.json.
  */
 
 #include <iostream>
@@ -152,6 +151,5 @@ main(int argc, char **argv)
         }
         json.endArray();
     }
-    writePerfSidecar("table5_slots", runner, taskLabels(tasks));
     return 0;
 }

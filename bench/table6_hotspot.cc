@@ -8,8 +8,7 @@
  * for a separate combining network in machines like the RP3.
  *
  * Runs on the SweepRunner (`--threads=N`); results are identical
- * at any thread count.  Emits BENCH_table6_hotspot.json and a
- * PERF_table6_hotspot.json timing sidecar.
+ * at any thread count.  Emits BENCH_table6_hotspot.json.
  */
 
 #include <algorithm>
@@ -204,6 +203,5 @@ main(int argc, char **argv)
         }
         json.endArray();
     }
-    writePerfSidecar("table6_hotspot", runner, taskLabels(tasks));
     return 0;
 }

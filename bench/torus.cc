@@ -19,8 +19,8 @@
  *    even at saturation is the point of the exercise.
  *
  * Runs on the SweepRunner (`--threads=N`); results are identical
- * at any thread count.  Emits BENCH_torus.json,
- * BENCH_torus_blocking.json, and PERF_* timing sidecars.
+ * at any thread count.  Emits BENCH_torus.json and
+ * BENCH_torus_blocking.json.
  */
 
 #include <iostream>
@@ -224,7 +224,6 @@ main(int argc, char **argv)
         }
         json.endArray();
     }
-    writePerfSidecar("torus", runner, taskLabels(tasks));
 
     // --- Blocking + dateline-VC sweep --------------------------------
 
@@ -370,7 +369,5 @@ main(int argc, char **argv)
         }
         json.endArray();
     }
-    writePerfSidecar("torus_blocking", runner,
-                     taskLabels(blocking_tasks));
     return 0;
 }

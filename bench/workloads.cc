@@ -28,8 +28,7 @@
  *
  * Runs on the SweepRunner (`--threads=N`); results are identical
  * at any thread count.  Emits BENCH_workloads.json (rows carry
- * e2e p50/p99/p999 and the per-class tails) and a
- * PERF_workloads.json timing sidecar.
+ * e2e p50/p99/p999 and the per-class tails).
  */
 
 #include <iostream>
@@ -463,11 +462,5 @@ main(int argc, char **argv)
         }
         json.endArray();
     }
-    writePerfSidecar("workloads", runner, [&] {
-        std::vector<std::string> labels;
-        for (const Task &task : tasks)
-            labels.push_back(task.label);
-        return labels;
-    }());
     return 0;
 }

@@ -2,13 +2,11 @@
  * @file
  * Minimal streaming JSON emitter for the bench result files.
  *
- * The benches write two kinds of JSON: the deterministic
- * BENCH_<name>.json result files (which must be byte-identical
- * across runs and thread counts) and the PERF_<name>.json timing
- * sidecars.  Both need only a tiny subset of JSON — objects,
- * arrays, strings, numbers, booleans, null — emitted in insertion
- * order with stable formatting, which is exactly what this writer
- * does:
+ * The benches write deterministic BENCH_<name>.json result files,
+ * which must be byte-identical across runs and thread counts.
+ * They need only a tiny subset of JSON — objects, arrays, strings,
+ * numbers, booleans, null — emitted in insertion order with stable
+ * formatting, which is exactly what this writer does:
  *
  *  - doubles print with max_digits10 (17 significant digits), so
  *    every distinct double has a distinct, reproducible spelling

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <type_traits>
 
 #include "common/logging.hh"
 #include "common/string_util.hh"
@@ -14,8 +15,14 @@ TrafficSource
 SyncEngine::makeSource(const Topology &topology,
                        const SyncConfig &config)
 {
-    damq_assert(config.burstiness >= 1.0,
-                "burstiness must be at least 1");
+    if (!(config.burstiness >= 1.0))
+        damq_fatal("burstiness must be at least 1, got ",
+                   config.burstiness);
+    if (config.traffic == "hotspot" &&
+        !(config.hotSpotFraction >= 0.0 &&
+          config.hotSpotFraction <= 1.0))
+        damq_fatal("hot-spot fraction must be in [0, 1], got ",
+                   config.hotSpotFraction);
     // The legacy burstiness/meanBurstCycles fields are a deprecated
     // alias for the two-state OnOff injection process: when they are
     // set and no explicit workload was chosen, rewrite the workload
@@ -82,7 +89,10 @@ SyncEngine::SyncEngine(const Topology &topology,
 
     const std::uint32_t n = topo.numSwitches();
     portCount = topo.portsPerSwitch();
+    numVcs = cfg.common.vcs;
     const bool input = cfg.placement == BufferPlacement::Input;
+    if (cfg.slotsPerBuffer == 0)
+        damq_fatal("slotsPerBuffer must be at least 1");
     if (cfg.trafficClasses < 1 ||
         cfg.trafficClasses > kMaxTrafficClasses) {
         damq_fatal("trafficClasses must be in [1, ",
@@ -272,7 +282,6 @@ SyncEngine::buildChannelTables()
     chanSink.assign(links, 0);
     chanNextSwitch.assign(links, 0);
     chanNextInput.assign(links, 0);
-    chanDateline.assign(links, 0);
     for (SwitchId sw = 0; sw < topo.numSwitches(); ++sw) {
         for (PortId out = 0; out < portCount; ++out) {
             if (!topo.hasLink(sw, out))
@@ -286,15 +295,8 @@ SyncEngine::buildChannelTables()
                 chanNextSwitch[link] = next.switchId;
                 chanNextInput[link] = next.inputPort;
             }
-            chanDateline[link] =
-                topo.hopCrossesDateline(sw, out) ? 1 : 0;
         }
     }
-    portDim.assign(portCount, -1);
-    for (PortId port = 0; port < portCount; ++port)
-        portDim[port] = topo.portDimension(port);
-    numVcs = cfg.common.vcs;
-    vcPolicyNone = cfg.common.vcPolicy == VcPolicy::None;
 }
 
 void
@@ -480,6 +482,36 @@ SyncEngine::auditGrantsNow()
     }
 }
 
+template <typename Unit>
+void
+SyncEngine::plainHop(SwitchId sw, Packet pkt)
+{
+    // The receiver verifies the sealed checksum before using any
+    // header field, so a corrupted packet is detected and discarded
+    // — never misrouted or silently delivered.
+    const char *loss = crossLink(sw, pkt);
+    if (!loss && injector.enabled() && !headerIntact(pkt)) {
+        injector.recordDetectedCorruption();
+        loss = "drop@corrupt";
+    }
+    if (loss) {
+        ++counters.faultDropped;
+        traceLoss(pkt, loss);
+        return;
+    }
+    const LinkId link = sw * portCount + pkt.outPort;
+    if (chanToSink[link]) {
+        deliver(pkt, chanSink[link]);
+        return;
+    }
+    const NextHop next = nextHop(link, pkt.outPort, pkt);
+    next.arrive(pkt);
+    if constexpr (std::is_same_v<Unit, SwitchModel>)
+        commitHop(switchStore[next.sw], pkt, counters.discardedInternal);
+    else
+        commitHop(*switches[next.sw], pkt, counters.discardedInternal);
+}
+
 void
 SyncEngine::exchangeMovesSerial()
 {
@@ -487,86 +519,17 @@ SyncEngine::exchangeMovesSerial()
     // protocol state are global and order-sensitive: apply the
     // global move list on the coordinator, exactly as the
     // sequential engine does.
-    {
-        const bool hard_faults = common.faults.hardFaultsEnabled();
-        for (unsigned s = 0; s < shardPool->shards(); ++s) {
-            for (Move &move : shardScratch[s].moves) {
-                if (linkLayer) {
-                    // Recovery on: the frame crosses under the
-                    // link-level protocol (CRC, same-cycle
-                    // ack/nack, retransmission).
-                    const LinkId link =
-                        linkIdOf(move.sw, move.packet.outPort,
-                                 portCount);
-                    wireCross(move.sw, move.packet,
-                              linkLayer->assignSeq(link),
-                              /*is_retry=*/false);
-                    continue;
-                }
-                // Hard faults without recovery: every frame onto a
-                // forced-down link (or into a frozen router) is
-                // lost.
-                if (hard_faults &&
-                    hardFaultLoss(move.sw, move.packet.outPort)) {
-                    ++counters.faultDropped;
-                    traceLoss(move.packet, "drop@linkdown");
-                    continue;
-                }
-                // Link faults: the packet can vanish or arrive
-                // with a flipped header bit.  The receiving side
-                // verifies the sealed checksum before using any
-                // header field, so a corrupted packet is detected
-                // and discarded — never misrouted or silently
-                // delivered.
-                if (injector.dropOnLink(move.sw, currentCycle,
-                                        move.packet)) {
-                    ++counters.faultDropped;
-                    traceLoss(move.packet, "drop@fault");
-                    continue;
-                }
-                injector.corruptOnLink(move.sw, currentCycle,
-                                       move.packet);
-                if (!headerIntact(move.packet)) {
-                    injector.recordDetectedCorruption();
-                    ++counters.faultDropped;
-                    traceLoss(move.packet, "drop@corrupt");
-                    continue;
-                }
-                const HopTarget next =
-                    topo.hop(move.sw, move.packet.outPort);
-                if (next.toSink) {
-                    deliver(move.packet, next.sink);
-                    continue;
-                }
-                Packet pkt = move.packet;
-                // The link VC must be computed from the packet's
-                // state at the switch it left, before vc/inPort
-                // are rewritten for the next hop.
-                pkt.vc = vcAlloc.linkVc(move.packet, move.sw,
-                                        move.packet.outPort);
-                pkt.inPort = next.inputPort;
-                pkt.outPort = topo.route(next.switchId, pkt.dest);
-                ++pkt.hops;
-                // Blocking hops were admitted at grant time (the
-                // arbiter's canSendFrom check); only the static
-                // space rule is re-verified at commit.  Discarding
-                // hops get no upstream check, so the receive IS the
-                // admission point and the full policy runs.
-                const bool accepted =
-                    cfg.protocol == FlowControl::Blocking
-                        ? switches[next.switchId]->receiveGranted(
-                              next.inputPort, pkt)
-                        : switches[next.switchId]->tryReceive(
-                              next.inputPort, pkt);
-                if (!accepted) {
-                    damq_assert(
-                        cfg.protocol == FlowControl::Discarding,
-                        "blocking protocol transmitted into a full "
-                        "buffer — back-pressure check is broken");
-                    ++counters.discardedInternal;
-                    traceLoss(pkt, "drop@internal");
-                }
+    for (unsigned s = 0; s < shardPool->shards(); ++s) {
+        for (const Move &move : shardScratch[s].moves) {
+            if (!linkLayer) {
+                plainHop<SwitchModel>(move.sw, move.packet);
+                continue;
             }
+            // Recovery on: the frame crosses under the link-level
+            // protocol (CRC, same-cycle ack/nack, retransmission).
+            const LinkId link = move.sw * portCount + move.packet.outPort;
+            wireCross(move.sw, move.packet, linkLayer->assignSeq(link),
+                      /*is_retry=*/false);
         }
     }
 }
@@ -606,22 +569,18 @@ SyncEngine::canSendFrom(SwitchId sw, QueueKey out_key,
         return true; // transmit blindly; receiver may drop
     if (chanToSink[link])
         return true; // sinks always accept
-    const SwitchId next_sw = chanNextSwitch[link];
     // A delayed credit makes the downstream switch report "full"
     // even when space exists: transfers stall but no packet is
     // lost.  (Pre-rolled in phaseFaults — a pure read here.)
-    if (injector.creditDelayed(next_sw, currentCycle))
+    if (injector.creditDelayed(chanNextSwitch[link], currentCycle))
         return false;
-    const PortId next_out =
-        routeAfterHop(sw, out_key.out, next_sw, pkt);
-    if (next_out == kInvalidPort)
+    // The route there and the VC the packet will occupy on this
+    // link decide which downstream queue must have room.
+    const NextHop next = nextHop(link, out_key.out, pkt);
+    if (next.key.out == kInvalidPort)
         return false; // dest unroutable from downstream
-    // The VC the packet will occupy on this link decides which
-    // downstream queue must have room.
-    const VcId next_vc = linkVcFlat(pkt, link, out_key.out);
-    return switchStore[next_sw].canAcceptClass(
-        chanNextInput[link], QueueKey{next_out, next_vc},
-        pkt.lengthSlots, pkt.trafficClass);
+    return switchStore[next.sw].canAcceptClass(
+        next.in, next.key, pkt.lengthSlots, pkt.trafficClass);
 }
 
 void
@@ -675,38 +634,17 @@ SyncEngine::advanceReceive(unsigned shard)
     // the sink deliveries afterwards.
     for (unsigned s = 0; s < plan.shards(); ++s) {
         for (const Move &move : shardScratch[s].moves) {
-            const LinkId link =
-                move.sw * portCount + move.packet.outPort;
+            const PortId out = move.packet.outPort;
+            const LinkId link = move.sw * portCount + out;
             if (chanToSink[link])
                 continue;
             const SwitchId next_sw = chanNextSwitch[link];
             if (next_sw < begin_sw || next_sw >= end_sw)
                 continue;
+            const NextHop next = nextHop(link, out, move.packet);
             Packet pkt = move.packet;
-            // The link VC must be computed from the packet's state
-            // at the switch it left, before vc/inPort are
-            // rewritten for the next hop.
-            pkt.vc = linkVcFlat(move.packet, link,
-                                move.packet.outPort);
-            pkt.inPort = chanNextInput[link];
-            pkt.outPort = topo.route(next_sw, pkt.dest);
-            ++pkt.hops;
-            // Same grant/commit split as the single-shard path:
-            // blocking hops re-verify only the static space rule.
-            const bool accepted =
-                cfg.protocol == FlowControl::Blocking
-                    ? switchStore[next_sw].receiveGranted(pkt.inPort,
-                                                          pkt)
-                    : switchStore[next_sw].tryReceive(pkt.inPort,
-                                                      pkt);
-            if (!accepted) {
-                damq_assert(
-                    cfg.protocol == FlowControl::Discarding,
-                    "blocking protocol transmitted into a full "
-                    "buffer — back-pressure check is broken");
-                ++sc.discardedInternal;
-                traceLoss(pkt, "drop@internal");
-            }
+            next.arrive(pkt);
+            commitHop(switchStore[next_sw], pkt, sc.discardedInternal);
         }
     }
 }
@@ -726,11 +664,10 @@ SyncEngine::phaseAdvanceShared()
     std::unordered_map<std::uint64_t, std::uint32_t> &pending =
         pendingScratch;
     pending.clear();
-    auto pending_key = [&](SwitchId sw, PortId out) {
+    auto pending_key = [&](const NextHop &next) {
         const std::uint64_t structure =
-            cfg.placement == BufferPlacement::Output ? out : 0;
-        return static_cast<std::uint64_t>(sw) *
-                   topo.portsPerSwitch() +
+            cfg.placement == BufferPlacement::Output ? next.key.out : 0;
+        return static_cast<std::uint64_t>(next.sw) * portCount +
                structure;
     };
 
@@ -748,82 +685,34 @@ SyncEngine::phaseAdvanceShared()
                                 const Packet &pkt) {
             if (cfg.protocol == FlowControl::Discarding)
                 return true; // transmit blindly; receiver may drop
-            const HopTarget next = topo.hop(sw, out_key.out);
-            if (next.toSink)
+            const LinkId link = sw * portCount + out_key.out;
+            if (chanToSink[link])
                 return true; // sinks always accept
-            if (injector.creditDelayed(next.switchId, currentCycle))
+            if (injector.creditDelayed(chanNextSwitch[link],
+                                       currentCycle))
                 return false;
-            const PortId next_out = routeAfterHop(
-                sw, out_key.out, next.switchId, pkt);
-            if (next_out == kInvalidPort)
-                return false; // dest unroutable from downstream
-            const VcId next_vc =
-                vcAlloc.linkVc(pkt, sw, out_key.out);
+            const NextHop next = nextHop(link, out_key.out, pkt);
             std::uint32_t held = 0;
-            const auto found = pending.find(
-                pending_key(next.switchId, next_out));
+            const auto found = pending.find(pending_key(next));
             if (found != pending.end())
                 held = found->second;
-            return switches[next.switchId]->canAcceptClass(
-                next.inputPort, QueueKey{next_out, next_vc},
-                pkt.lengthSlots + held, pkt.trafficClass);
+            return switches[next.sw]->canAcceptClass(
+                next.in, next.key, pkt.lengthSlots + held,
+                pkt.trafficClass);
         };
         std::vector<Packet> &sent = sentScratch;
         switches[sw]->transmitInto(can_send, sent);
         for (Packet &pkt : sent) {
-            const HopTarget next = topo.hop(sw, pkt.outPort);
-            if (!next.toSink) {
-                const PortId next_out = routeAfterHop(
-                    sw, pkt.outPort, next.switchId, pkt);
-                if (next_out != kInvalidPort)
-                    pending[pending_key(next.switchId, next_out)] +=
-                        pkt.lengthSlots;
-            }
+            const LinkId link = sw * portCount + pkt.outPort;
+            if (!chanToSink[link])
+                pending[pending_key(nextHop(link, pkt.outPort, pkt))] +=
+                    pkt.lengthSlots;
             moves.push_back(Move{sw, pkt});
         }
     }
 
-    for (Move &move : moves) {
-        if (hard_faults &&
-            hardFaultLoss(move.sw, move.packet.outPort)) {
-            ++counters.faultDropped;
-            traceLoss(move.packet, "drop@linkdown");
-            continue;
-        }
-        if (injector.dropOnLink(move.sw, currentCycle,
-                                move.packet)) {
-            ++counters.faultDropped;
-            traceLoss(move.packet, "drop@fault");
-            continue;
-        }
-        injector.corruptOnLink(move.sw, currentCycle, move.packet);
-        if (injector.enabled() && !headerIntact(move.packet)) {
-            injector.recordDetectedCorruption();
-            ++counters.faultDropped;
-            traceLoss(move.packet, "drop@corrupt");
-            continue;
-        }
-        const HopTarget next = topo.hop(move.sw, move.packet.outPort);
-        if (next.toSink) {
-            deliver(move.packet, next.sink);
-            continue;
-        }
-        Packet pkt = move.packet;
-        pkt.vc =
-            vcAlloc.linkVc(move.packet, move.sw, move.packet.outPort);
-        pkt.inPort = next.inputPort;
-        pkt.outPort = topo.route(next.switchId, pkt.dest);
-        ++pkt.hops;
-        SwitchUnit &target = *switches[next.switchId];
-        const bool accepted = target.tryReceive(next.inputPort, pkt);
-        if (!accepted) {
-            damq_assert(cfg.protocol == FlowControl::Discarding,
-                        "blocking protocol transmitted into a full "
-                        "buffer — back-pressure check is broken");
-            ++counters.discardedInternal;
-            traceLoss(pkt, "drop@internal");
-        }
-    }
+    for (const Move &move : moves)
+        plainHop<SwitchUnit>(move.sw, move.packet);
 }
 
 PortId
@@ -835,64 +724,52 @@ SyncEngine::routeFor(SwitchId sw, const Packet &pkt)
                : topo.route(sw, pkt.dest);
 }
 
-PortId
-SyncEngine::routeAfterHop(SwitchId sw, PortId out, SwitchId next_sw,
-                          const Packet &pkt)
+bool
+SyncEngine::hardFaultLoss(LinkId link)
 {
-    if (!faultRouter)
-        return topo.route(next_sw, pkt.dest);
-    const bool down = pkt.routeDown || faultRouter->downHop(sw, out);
-    return faultRouter->nextHop(next_sw, pkt.dest, down).port;
+    return injector.linkForcedDown(link, currentCycle) ||
+           (!chanToSink[link] &&
+            injector.routerForcedDown(chanNextSwitch[link],
+                                      currentCycle));
 }
 
-bool
-SyncEngine::hardFaultLoss(SwitchId sw, PortId out)
+const char *
+SyncEngine::crossLink(SwitchId sw, Packet &wire)
 {
-    const LinkId link = linkIdOf(sw, out, topo.portsPerSwitch());
-    if (injector.linkForcedDown(link, currentCycle))
-        return true;
-    const HopTarget next = topo.hop(sw, out);
-    return !next.toSink &&
-           injector.routerForcedDown(next.switchId, currentCycle);
+    if (common.faults.hardFaultsEnabled() &&
+        hardFaultLoss(sw * portCount + wire.outPort))
+        return "drop@linkdown";
+    if (injector.dropOnLink(sw, currentCycle, wire))
+        return "drop@fault";
+    injector.corruptOnLink(sw, currentCycle, wire);
+    return nullptr;
 }
 
-bool
+void
 SyncEngine::wireCross(SwitchId sw, const Packet &pristine,
                       std::uint32_t seq, bool is_retry)
 {
-    const PortId out = pristine.outPort;
-    const LinkId link = linkIdOf(sw, out, topo.portsPerSwitch());
-    const HopTarget next = topo.hop(sw, out);
+    const LinkId link = sw * portCount + pristine.outPort;
     RecoveryStats &rs = linkLayer->stats();
     ++rs.framesSent;
     if (is_retry)
         ++rs.retransmits;
 
-    // A hard fault loses the frame outright; so does a transient
-    // drop.  Either way no ack comes back and the sender times out.
-    bool lost = false;
-    if (common.faults.hardFaultsEnabled()) {
-        lost = injector.linkForcedDown(link, currentCycle) ||
-               (!next.toSink && injector.routerForcedDown(
-                                    next.switchId, currentCycle));
-    }
-    if (!lost)
-        lost = injector.dropOnLink(sw, currentCycle, pristine);
-    if (lost) {
+    // The receiver sees the wire copy.  A lost frame (hard fault or
+    // transient drop) draws no ack, so the sender times out; a
+    // corrupted one fails the CRC check there and is nacked within
+    // the transfer cycle.
+    Packet wire = pristine;
+    if (crossLink(sw, wire)) {
         frameFailed(sw, link, pristine, seq, is_retry,
                     /*nacked=*/false);
-        return false;
+        return;
     }
-
-    // The receiver sees the wire copy; a corrupted frame fails the
-    // CRC check there and is nacked within the transfer cycle.
-    Packet wire = pristine;
-    injector.corruptOnLink(sw, currentCycle, wire);
     if (linkFrameCrc(wire, seq) != linkFrameCrc(pristine, seq)) {
         injector.recordDetectedCorruption();
         frameFailed(sw, link, pristine, seq, is_retry,
                     /*nacked=*/true);
-        return false;
+        return;
     }
 
     // Acked.  The CRC catches every single-bit flip (the fault
@@ -905,53 +782,29 @@ SyncEngine::wireCross(SwitchId sw, const Packet &pristine,
         linksUsedScratch.push_back(link);
     }
 
-    if (next.toSink) {
-        deliver(pristine, next.sink);
-        return true;
+    if (chanToSink[link]) {
+        deliver(pristine, chanSink[link]);
+        return;
     }
+    const NextHop next = nextHop(link, pristine.outPort, pristine);
     Packet pkt = pristine;
-    pkt.vc = vcAlloc.linkVc(pristine, sw, out);
-    pkt.inPort = next.inputPort;
-    if (faultRouter && faultRouter->active()) {
-        pkt.routeDown =
-            pristine.routeDown || faultRouter->downHop(sw, out);
-        const FaultRouter::Hop onward = faultRouter->nextHop(
-            next.switchId, pkt.dest, pkt.routeDown);
-        pkt.outPort = onward.port;
-        if (pkt.outPort == kInvalidPort) {
-            // Reachability collapsed while the frame was in
-            // flight: the wire worked (the ack above stands), but
-            // no legal route onward exists — charge the loss to
-            // the faults.
-            ++counters.faultDropped;
-            traceLoss(pkt, "drop@unroutable");
-            return true;
-        }
-        if (pkt.routeDown && !onward.down) {
-            // The frame's descent chain vanished while it was in
-            // flight (epoch change): it must restart as a climber,
-            // but climbing out of a down-link's buffer is the one
-            // dependency edge the up*-down* order forbids.  It
-            // re-enters through the local injection buffer via the
-            // re-home queue instead.
-            ++pkt.hops;
-            rehomeQueue.push_back(Rehome{next.switchId, pkt});
-            return true;
-        }
+    next.arrive(pkt);
+    if (next.key.out == kInvalidPort) {
+        // Reachability collapsed while the frame was in flight: the
+        // wire worked (the ack above stands), but no legal route
+        // onward exists — charge the loss to the faults.
+        ++counters.faultDropped;
+        traceLoss(pkt, "drop@unroutable");
+    } else if (next.restart) {
+        // The frame's descent chain vanished while it was in flight
+        // (epoch change): it must restart as a climber, but climbing
+        // out of a down-link's buffer is the one dependency edge the
+        // up*-down* order forbids.  It re-enters through the local
+        // injection buffer via the re-home queue instead.
+        rehomeQueue.push_back(Rehome{next.sw, pkt});
     } else {
-        pkt.outPort = routeFor(next.switchId, pkt);
+        commitHop(switchStore[next.sw], pkt, counters.discardedInternal);
     }
-    ++pkt.hops;
-    SwitchUnit &target = *switches[next.switchId];
-    const bool accepted = target.tryReceive(next.inputPort, pkt);
-    if (!accepted) {
-        damq_assert(cfg.protocol == FlowControl::Discarding,
-                    "blocking protocol transmitted into a full "
-                    "buffer — back-pressure check is broken");
-        ++counters.discardedInternal;
-        traceLoss(pkt, "drop@internal");
-    }
-    return true;
 }
 
 void
@@ -1076,51 +929,33 @@ SyncEngine::processRetries()
 {
     if (linkLayer->pendingLinks() == 0)
         return;
-    const std::uint32_t ports = topo.portsPerSwitch();
     for (LinkId link = 0; link < topo.numLinks(); ++link) {
         if (!linkLayer->retryDue(link, currentCycle))
             continue;
-        const SwitchId sw = link / ports;
         const Packet &pristine = linkLayer->pendingPacket(link);
-        // Mirror can_send: a retransmission into a full downstream
+        // Mirror canSendFrom: a retransmission into a full downstream
         // buffer waits for room without consuming an attempt (the
         // failure streak tracks the *wire*, not back-pressure).
-        const HopTarget next = topo.hop(sw, pristine.outPort);
         if (cfg.protocol != FlowControl::Discarding &&
-            !next.toSink) {
-            if (injector.creditDelayed(next.switchId, currentCycle))
+            !chanToSink[link]) {
+            if (injector.creditDelayed(chanNextSwitch[link],
+                                       currentCycle))
                 continue;
             // A frame whose arrival will not enter a buffer — the
             // destination became unroutable (dropped on arrival)
             // or its descent chain vanished (diverted to the
             // re-home queue) — needs no downstream space, and
             // holding it would block the link indefinitely.
-            bool needs_space = true;
-            PortId next_out = kInvalidPort;
-            if (faultRouter && faultRouter->active()) {
-                const bool went_down =
-                    pristine.routeDown ||
-                    faultRouter->downHop(sw, pristine.outPort);
-                const FaultRouter::Hop onward = faultRouter->nextHop(
-                    next.switchId, pristine.dest, went_down);
-                next_out = onward.port;
-                needs_space = next_out != kInvalidPort &&
-                              !(went_down && !onward.down);
-            } else {
-                next_out = routeAfterHop(
-                    sw, pristine.outPort, next.switchId, pristine);
-            }
-            if (needs_space) {
-                const VcId next_vc =
-                    vcAlloc.linkVc(pristine, sw, pristine.outPort);
-                if (!switches[next.switchId]->canAcceptClass(
-                        next.inputPort, QueueKey{next_out, next_vc},
-                        pristine.lengthSlots, pristine.trafficClass))
-                    continue;
-            }
+            const NextHop next =
+                nextHop(link, pristine.outPort, pristine);
+            if (next.key.out != kInvalidPort && !next.restart &&
+                !switchStore[next.sw].canAcceptClass(
+                    next.in, next.key, pristine.lengthSlots,
+                    pristine.trafficClass))
+                continue;
         }
-        wireCross(sw, pristine, linkLayer->pendingSeq(link),
-                  /*is_retry=*/true);
+        wireCross(link / portCount, pristine,
+                  linkLayer->pendingSeq(link), /*is_retry=*/true);
     }
 }
 
@@ -1179,18 +1014,13 @@ SyncEngine::probeDeadLinks()
 {
     if (!linkLayer->probeDue(currentCycle))
         return;
-    const std::uint32_t ports = topo.portsPerSwitch();
     // Reviving inside the visit is safe: the mask's storage does
     // not move, and clearing the current bit never hides later
-    // dead links from the ascending walk.
+    // dead links from the ascending walk.  A link whose episode is
+    // still running, or whose receiver is still frozen, stays dead.
     linkLayer->linkMask().forEachDeadLink([&](LinkId link) {
-        if (injector.linkForcedDown(link, currentCycle))
-            return; // episode still running
-        const HopTarget next = topo.hop(link / ports, link % ports);
-        if (!next.toSink && injector.routerForcedDown(
-                                next.switchId, currentCycle))
-            return; // receiver still frozen
-        linkLayer->revive(link);
+        if (!hardFaultLoss(link))
+            linkLayer->revive(link);
     });
 }
 

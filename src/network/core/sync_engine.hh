@@ -28,9 +28,16 @@
  *
  * The per-switch state itself lives in structure-of-arrays form:
  * one contiguous vector of SwitchModel values (no per-node heap
- * objects) plus flat per-link channel tables (hop target, dateline
- * bit, ring dimension) indexed by LinkId, so the hot capacity check
- * runs on array loads instead of virtual topology calls.
+ * objects) plus flat per-link channel tables (hop target; the VC
+ * rule's dateline and ring-dimension tables live in VcAllocator)
+ * indexed by LinkId, so the hot capacity check runs on array loads
+ * instead of virtual topology calls.
+ *
+ * Every advance path moves a granted packet through the same hop,
+ * written once: crossLink (the link's fault draws), nextHop (the
+ * next switch, input, route and link VC — the grant checks read the
+ * same lookahead one hop early) and commitHop (the receive).  See
+ * DESIGN.md section 13.
  */
 
 #ifndef DAMQ_NETWORK_CORE_SYNC_ENGINE_HH
@@ -43,6 +50,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/ring_queue.hh"
 #include "common/types.hh"
 #include "network/core/fault_router.hh"
@@ -496,9 +504,14 @@ class SyncEngine final : public SimEngine
         void pop(unsigned shard) override { eng.advancePop(shard); }
         bool coordinatorExchange() const override
         {
-            // Per-packet fault draws and link-layer protocol state
-            // are global and order-sensitive.
-            return eng.linkLayer != nullptr || eng.injector.enabled();
+            // Only a hop that can draw or lose something — link-layer
+            // protocol state, per-packet drop/flip draws, hard-fault
+            // losses — is global and order-sensitive.  Arbiter-stuck,
+            // credit-delay and slot-leak faults are pre-rolled in
+            // phaseFaults and leave the exchange sharded.
+            const FaultConfig &f = eng.common.faults;
+            return eng.linkLayer != nullptr || f.packetDropRate > 0.0 ||
+                   f.headerBitFlipRate > 0.0 || f.hardFaultsEnabled();
         }
         void exchangeSerial() override { eng.exchangeMovesSerial(); }
         void exchange(unsigned shard) override
@@ -664,21 +677,108 @@ class SyncEngine final : public SimEngine
     bool canSendFrom(SwitchId sw, QueueKey out_key,
                      const Packet &pkt);
 
-    /** VcAllocator::linkVc on the flat channel tables. */
-    VcId linkVcFlat(const Packet &pkt, LinkId link, PortId out) const
+    // --- the hop: one link crossing, one lookahead, one commit ---
+
+    /**
+     * Where a packet leaving its switch over a (non-sink) link lands:
+     * the next switch and input, and the queue it joins there — the
+     * route at that switch and the VC it occupies on the link.  The
+     * grant checks test that queue for room one hop early; the
+     * commit rewrites the packet with the same answer.
+     */
+    struct NextHop
     {
-        if (numVcs <= 1 || vcPolicyNone)
-            return 0;
-        const std::int32_t dim = portDim[out];
-        if (dim < 0)
-            return 0;
-        VcId vc = 0;
-        if (pkt.inPort != kInvalidPort && portDim[pkt.inPort] == dim)
-            vc = pkt.vc;
-        if (chanDateline[link])
-            vc = static_cast<VcId>(numVcs - 1);
-        return vc;
+        SwitchId sw;
+        PortId in;
+        QueueKey key;   ///< out = kInvalidPort: unroutable from sw
+        bool routeDown; ///< up*-down* phase after the hop
+        bool restart;   ///< descent chain vanished: re-home instead
+
+        /** Rewrite @p pkt, as it left, into the packet that arrives:
+         *  link VC, input port, onward route, one more hop. */
+        void arrive(Packet &pkt) const
+        {
+            pkt.vc = key.vc;
+            pkt.inPort = in;
+            pkt.outPort = key.out;
+            pkt.routeDown = routeDown;
+            ++pkt.hops;
+        }
+    };
+
+    /** The next-hop lookahead for @p pkt leaving over @p link (local
+     *  output @p out), from its state at the switch it leaves. */
+    NextHop nextHop(LinkId link, PortId out, const Packet &pkt)
+    {
+        NextHop next{chanNextSwitch[link], chanNextInput[link],
+                     QueueKey{kInvalidPort,
+                              vcAlloc.linkVc(pkt, link, out)},
+                     pkt.routeDown, false};
+        if (faultRouter && faultRouter->active()) {
+            // Rerouting in effect: the phase bit the hop leaves
+            // behind selects the onward up*-down* hop.
+            next.routeDown =
+                pkt.routeDown ||
+                faultRouter->downHop(link / portCount, out);
+            const FaultRouter::Hop onward =
+                faultRouter->nextHop(next.sw, pkt.dest, next.routeDown);
+            next.key.out = onward.port;
+            next.restart = next.routeDown && !onward.down;
+        } else {
+            next.key.out = topo.route(next.sw, pkt.dest);
+        }
+        return next;
     }
+
+    /**
+     * The hop commit: store @p pkt (rewritten by NextHop::arrive) at
+     * its input of @p target — the concrete SwitchModel on the
+     * input-placement paths, the SwitchUnit interface on the shared
+     * ones.  A lossless hop was admitted at its grant, so it commits
+     * with receiveGranted, which re-checks only the static space
+     * rule (SwitchUnit::receiveGranted says why a dynamic policy must
+     * not run twice).  Under discarding the receive is the admission
+     * point: tryReceive runs the full policy, and a refusal is an
+     * internal discard, counted into @p discarded and traced.
+     */
+    template <typename Unit>
+    void commitHop(Unit &target, const Packet &pkt,
+                   std::uint64_t &discarded)
+    {
+        const bool lossless = cfg.protocol != FlowControl::Discarding;
+        if (lossless ? target.receiveGranted(pkt.inPort, pkt)
+                     : target.tryReceive(pkt.inPort, pkt))
+            return;
+        damq_assert(!lossless,
+                    "lossless protocol transmitted into a full "
+                    "buffer — back-pressure check is broken");
+        ++discarded;
+        traceLoss(pkt, "drop@internal");
+    }
+
+    /**
+     * The link crossing: carry @p wire out of switch @p sw over its
+     * output link, rolling the hard-fault, drop and header-corruption
+     * draws in that fixed order (a lost frame draws nothing more).
+     * Returns nullptr when the frame arrived — possibly with one
+     * header bit flipped in @p wire, which the receiver must detect —
+     * else the loss's trace label.
+     */
+    const char *crossLink(SwitchId sw, Packet &wire);
+
+    /** Whether a hard fault loses frames on @p link this cycle: the
+     *  link or its receiving router is forced down. */
+    bool hardFaultLoss(LinkId link);
+
+    /**
+     * A granted packet's hop without link-level recovery: cross the
+     * link, where the receiver's sealed-header checksum catches a
+     * flipped bit (a loss is charged to the faults); then deliver at
+     * a sink or commit at the next switch — through the concrete
+     * SwitchModel when @p Unit is one, else the SwitchUnit interface.
+     */
+    template <typename Unit>
+    void plainHop(SwitchId sw, Packet pkt);
 
     /** I2: inject staged packets at this shard's sources. */
     void injectShard(unsigned shard);
@@ -697,24 +797,12 @@ class SyncEngine final : public SimEngine
     PortId routeFor(SwitchId sw, const Packet &pkt);
 
     /**
-     * Lookahead of the routing decision @p pkt will face at
-     * @p next_sw after crossing (sw, out) — the capacity checks
-     * need it one hop early, phase bit included.
-     */
-    PortId routeAfterHop(SwitchId sw, PortId out, SwitchId next_sw,
-                         const Packet &pkt);
-
-    /** Whether a hard fault loses frames on (sw, out) this cycle. */
-    bool hardFaultLoss(SwitchId sw, PortId out);
-
-    /**
      * Carry one frame across its link under the recovery protocol:
-     * roll the hard-fault and transient-fault hooks, verify the
-     * frame CRC at the receiver, and ack (forward/deliver) or fail
-     * (hold + schedule retry / declare the link dead).  Returns
-     * true when the frame crossed and was consumed.
+     * the link crossing, then the frame CRC check at the receiver,
+     * then ack (deliver, or commit at the next switch) or fail (hold
+     * + schedule retry / declare the link dead).
      */
-    bool wireCross(SwitchId sw, const Packet &pristine,
+    void wireCross(SwitchId sw, const Packet &pristine,
                    std::uint32_t seq, bool is_retry);
 
     /** Failure path of wireCross (hold, backoff, dead-link). */
@@ -810,17 +898,14 @@ class SyncEngine final : public SimEngine
     NetworkCounters windowStart; ///< counters at measurement start
 
     // --- flat channel tables (LinkId = sw * ports + out) ---
-    // One array load replaces a virtual Topology::hop()/geometry
-    // call in the capacity check and the move loop.
+    // One array load replaces a virtual Topology::hop() call in the
+    // capacity check and the move loop.
     std::vector<std::uint8_t> chanToSink;
     std::vector<NodeId> chanSink;
     std::vector<SwitchId> chanNextSwitch;
     std::vector<PortId> chanNextInput;
-    std::vector<std::uint8_t> chanDateline;
-    std::vector<std::int32_t> portDim; ///< per local port
     std::uint32_t portCount = 0; ///< topo.portsPerSwitch(), cached
-    VcId numVcs = 1;
-    bool vcPolicyNone = false;
+    VcId numVcs = 1;             ///< common.vcs (flit stream stride)
 
     // --- sharding ---
     std::unique_ptr<ShardRuntime> shardPool;

@@ -183,22 +183,21 @@ SyncEngine::flitCanSendHead(SwitchId sw, QueueKey out_key,
     // block the wire (virtual channels multiplex it).
     if (flit->sendFlit[link])
         return false;
-    const VcId next_vc = linkVcFlat(pkt, link, out_key.out);
     // The target VC must be free: a stream owns its VC from head
     // grant to tail crossing, so flits of two packets never
     // interleave within a VC.
-    if (flit->streams[static_cast<std::size_t>(link) * numVcs +
-                      next_vc]
-            .active)
+    const auto vc_busy = [&](VcId vc) {
+        return flit->streams[static_cast<std::size_t>(link) * numVcs +
+                             vc]
+            .active;
+    };
+    if (chanToSink[link]) // sinks always accept
+        return !vc_busy(vcAlloc.linkVc(pkt, link, out_key.out));
+    if (injector.creditDelayed(chanNextSwitch[link], currentCycle))
         return false;
-    if (chanToSink[link])
-        return true; // sinks always accept
-    const SwitchId next_sw = chanNextSwitch[link];
-    if (injector.creditDelayed(next_sw, currentCycle))
-        return false;
-    const PortId next_out =
-        routeAfterHop(sw, out_key.out, next_sw, pkt);
-    if (next_out == kInvalidPort)
+    const NextHop next = nextHop(link, out_key.out, pkt);
+    const VcId next_vc = next.key.vc;
+    if (vc_busy(next_vc) || next.key.out == kInvalidPort)
         return false;
     // Wormhole heads need one downstream slot; VCT heads need the
     // whole packet's worth (the cut-through guarantee) — plus room
@@ -218,9 +217,8 @@ SyncEngine::flitCanSendHead(SwitchId sw, QueueKey out_key,
     // Exact organization-aware check on top of the credit counters:
     // a partitioned buffer can be "full" for this queue with total
     // credits to spare.
-    return switchStore[next_sw].canAcceptClass(
-        chanNextInput[link], QueueKey{next_out, next_vc}, needed,
-        pkt.trafficClass);
+    return switchStore[next.sw].canAcceptClass(next.in, next.key, needed,
+                                               pkt.trafficClass);
 }
 
 std::uint32_t
@@ -427,7 +425,7 @@ SyncEngine::flitPop(unsigned shard)
             const LinkId link = sw * portCount + g.output;
             BufferModel &buf = switchStore[sw].buffer(g.input);
             const Packet *head = buf.peek(g.queue());
-            const VcId link_vc = linkVcFlat(*head, link, g.output);
+            const VcId link_vc = vcAlloc.linkVc(*head, link, g.output);
             FlitStream &st =
                 flit->streams[static_cast<std::size_t>(link) *
                                   numVcs +
@@ -479,6 +477,8 @@ void
 SyncEngine::flitExchange(unsigned shard)
 {
     FlitShard &own = flit->shard[shard];
+    ShardScratch &sc = shardScratch[shard];
+    sc.discardedInternal = 0;
     const SwitchId begin_sw = plan.begin[shard];
     const SwitchId end_sw = plan.begin[shard + 1];
     // Every shard scans the full move list and applies only the
@@ -496,33 +496,26 @@ SyncEngine::flitExchange(unsigned shard)
                 flit->streams[static_cast<std::size_t>(m.link) *
                                   numVcs +
                               m.vc];
-            const PortId in = chanNextInput[m.link];
             if (m.type == FlitType::Head ||
                 m.type == FlitType::HeadTail) {
+                // The packet engine's hop: the lookahead
+                // flitCanSendHead admitted the head against (the
+                // wire VC, the route at the new switch), then the
+                // shared commit.  The record arrives with one flit.
+                const NextHop next =
+                    nextHop(m.link, m.pkt.outPort, m.pkt);
                 Packet pkt = m.pkt;
-                // Same per-hop rewrite as the packet engine: link
-                // VC from the wire, then route at the new switch.
-                pkt.vc = m.vc;
-                pkt.inPort = in;
-                pkt.outPort = topo.route(next_sw, pkt.dest);
-                ++pkt.hops;
+                next.arrive(pkt);
                 pkt.flitsArrived = 1;
                 pkt.flitsSent = 0;
-                st.dstKey = QueueKey{pkt.outPort, pkt.vc};
-                // Credit flow control: the head was admitted by
-                // flitCanSendHead at grant time, so the commit
-                // re-verifies only the static space rule (the
-                // dynamic policy verdict must not run again — see
-                // SwitchUnit::receiveGranted).
-                const bool accepted =
-                    switchStore[next_sw].receiveGranted(in, pkt);
-                damq_assert(accepted,
-                            "flit admission check lied: head flit "
-                            "rejected downstream");
+                st.dstKey = next.key;
+                commitHop(switchStore[next_sw], pkt,
+                          sc.discardedInternal);
             } else {
                 const bool grew =
-                    switchStore[next_sw].buffer(in).flitArrived(
-                        st.dstKey);
+                    switchStore[next_sw]
+                        .buffer(chanNextInput[m.link])
+                        .flitArrived(st.dstKey);
                 if (!grew && scheme->creditBased()) {
                     // Rebate: the flit landed in a slot its packet
                     // already held (downstream is streaming out as
@@ -540,6 +533,7 @@ SyncEngine::flitFinishExchange()
 {
     for (unsigned s = 0; s < plan.shards(); ++s) {
         FlitShard &fs = flit->shard[s];
+        counters.discardedInternal += shardScratch[s].discardedInternal;
         // Sink deliveries in global move order — deliver()'s
         // Welford statistics are order-sensitive floating point.
         // A packet's latency stops at its tail flit, so

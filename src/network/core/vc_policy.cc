@@ -32,30 +32,22 @@ namespace core {
 
 VcAllocator::VcAllocator(const Topology &topology, VcPolicy policy,
                          VcId num_vcs)
-    : topo(topology), rule(policy), vcs(num_vcs)
+    : rule(policy), vcs(num_vcs),
+      assigns(num_vcs > 1 && policy != VcPolicy::None)
 {
     damq_assert(num_vcs >= 1, "links need at least one VC");
-}
-
-VcId
-VcAllocator::linkVc(const Packet &pkt, SwitchId sw, PortId out) const
-{
-    if (vcs <= 1 || rule == VcPolicy::None)
-        return 0;
-    const int dim = topo.portDimension(out);
-    if (dim < 0)
-        return 0; // delivery port — the sink keeps no VC queues
-    // Continue on the current VC only while travelling along the
-    // same ring; entering the fabric (inPort invalid) or turning
-    // into a new dimension restarts on VC 0.
-    VcId vc = 0;
-    if (pkt.inPort != kInvalidPort &&
-        topo.portDimension(pkt.inPort) == dim) {
-        vc = pkt.vc;
+    const std::uint32_t ports = topology.portsPerSwitch();
+    portDim.assign(ports, -1);
+    for (PortId port = 0; port < ports; ++port)
+        portDim[port] = topology.portDimension(port);
+    dateline.assign(topology.numLinks(), 0);
+    for (SwitchId sw = 0; sw < topology.numSwitches(); ++sw) {
+        for (PortId out = 0; out < ports; ++out) {
+            if (topology.hasLink(sw, out))
+                dateline[linkIdOf(sw, out, ports)] =
+                    topology.hopCrossesDateline(sw, out) ? 1 : 0;
+        }
     }
-    if (topo.hopCrossesDateline(sw, out))
-        vc = vcs - 1;
-    return vc;
 }
 
 } // namespace core

@@ -4,6 +4,27 @@
 
 namespace damq {
 
+namespace {
+
+/** @p config, once its Omega geometry is known to be buildable —
+ *  a bad --ports/--radix is a usage error, not a broken invariant. */
+const NetworkConfig &
+checkedGeometry(const NetworkConfig &config)
+{
+    if (config.radix < 2)
+        damq_fatal("radix must be at least 2, got ", config.radix);
+    std::uint64_t ports = config.radix;
+    while (ports < config.numPorts)
+        ports *= config.radix;
+    if (ports != config.numPorts) {
+        damq_fatal("ports must be a power of the radix (", config.radix,
+                   ") no smaller than it, got ", config.numPorts);
+    }
+    return config;
+}
+
+} // namespace
+
 core::SyncConfig
 NetworkSimulator::syncConfigOf(const NetworkConfig &config)
 {
@@ -32,7 +53,7 @@ NetworkSimulator::syncConfigOf(const NetworkConfig &config)
 }
 
 NetworkSimulator::NetworkSimulator(const NetworkConfig &config)
-    : cfg(config), graph(config.numPorts, config.radix),
+    : cfg(checkedGeometry(config)), graph(config.numPorts, config.radix),
       engine(graph, syncConfigOf(config))
 {
 }

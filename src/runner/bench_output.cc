@@ -77,40 +77,4 @@ writeWorkloadJson(JsonWriter &json,
     json.endObject();
 }
 
-void
-writePerfSidecar(const std::string &bench, const SweepRunner &runner,
-                 const std::vector<std::string> &labels)
-{
-    const std::vector<TaskPerf> &perf = runner.taskPerf();
-    damq_assert(labels.size() == perf.size(),
-                "perf sidecar: ", labels.size(), " labels for ",
-                perf.size(), " tasks");
-
-    const std::string path = "PERF_" + bench + ".json";
-    std::ofstream file(path);
-    if (!file)
-        damq_fatal("cannot open ", path, " for writing");
-
-    JsonWriter json(file);
-    json.beginObject();
-    json.field("schema", "damq-perf-v1");
-    json.field("bench", bench);
-    json.field("threads", static_cast<std::uint64_t>(runner.threads()));
-    json.field("wallSeconds", runner.wallSeconds());
-    json.key("tasks");
-    json.beginArray();
-    for (std::size_t i = 0; i < perf.size(); ++i) {
-        json.beginObject();
-        json.field("index", static_cast<std::uint64_t>(i));
-        json.field("label", labels[i]);
-        json.field("wallSeconds", perf[i].wallSeconds);
-        json.field("simCycles", perf[i].simCycles);
-        json.field("simCyclesPerSecond", perf[i].cyclesPerSecond);
-        json.endObject();
-    }
-    json.endArray();
-    json.endObject();
-    std::cerr << "wrote " << path << "\n";
-}
-
 } // namespace damq

@@ -1,9 +1,9 @@
 /**
  * @file
  * Shared plumbing for the bench executables' machine-readable
- * output: the BENCH_<name>.json result files and the
- * PERF_<name>.json timing sidecars.  (The shared command-line
- * options, --threads included, live in runner/sim_flags.hh.)
+ * output: the BENCH_<name>.json result files.  (The shared
+ * command-line options, --threads included, live in
+ * runner/sim_flags.hh.)
  *
  * Two invariants the benches rely on:
  *
@@ -11,9 +11,8 @@
  *    saved golden outputs keep matching byte for byte; everything
  *    this header adds (file-written notices) goes to stderr.
  *  - BENCH_<name>.json holds only simulation outputs — fully
- *    deterministic, identical at any --threads value.  Wall-clock
- *    data lives in the PERF_<name>.json sidecar, which is expected
- *    to differ run to run.
+ *    deterministic, identical at any --threads value.  Host timing
+ *    is bench/perf's job (repeated, warmed-up runs), not theirs.
  */
 
 #ifndef DAMQ_RUNNER_BENCH_OUTPUT_HH
@@ -21,11 +20,9 @@
 
 #include <fstream>
 #include <string>
-#include <vector>
 
 #include "common/json_writer.hh"
 #include "network/core/workload.hh"
-#include "runner/sweep_runner.hh"
 
 namespace damq {
 
@@ -86,16 +83,6 @@ writeE2eLatencyJson(JsonWriter &json, const Result &r)
     json.field("e2eLatencyP999", r.e2eLatencyP999);
     json.field("e2eSamples", r.e2eSamples);
 }
-
-/**
- * Write PERF_<bench>.json from @p runner's counters for its last
- * sweep: thread count, sweep wall seconds, and per-task wall
- * seconds / simulated cycles / cycles-per-second, labelled by
- * @p labels (same order as the tasks).
- */
-void writePerfSidecar(const std::string &bench,
-                      const SweepRunner &runner,
-                      const std::vector<std::string> &labels);
 
 } // namespace damq
 

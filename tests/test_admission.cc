@@ -543,6 +543,58 @@ TEST(SharingShardIdentity, DefaultStaticConfigIsUnchanged)
                     "implicit vs explicit static");
 }
 
+// ------------------------------- one hop on every advance path
+
+/**
+ * bench/sharing's incast point: the blocking 2-VC 8x8 torus with 20
+ * slots per buffer, 15% of traffic at node 0, load 0.25, under
+ * @p policy (alpha 1, delay scale 32).
+ */
+TorusConfig
+incastBase(SharingPolicy policy)
+{
+    TorusConfig cfg = torusBase();
+    cfg.slotsPerBuffer = 20;
+    cfg.traffic = "hotspot";
+    cfg.hotSpotFraction = 0.15;
+    cfg.offeredLoad = 0.25;
+    cfg.sharing.kind = policy;
+    cfg.sharing.dtAlpha = 1.0;
+    cfg.sharing.delayAgeScale = 32;
+    if (policy == SharingPolicy::ClassQos) {
+        cfg.sharing.qosClasses = 2;
+        cfg.trafficClasses = 2;
+    }
+    return cfg;
+}
+
+TEST(SharingHopPaths, IncastTorusIsIdenticalOnEveryAdvancePath)
+{
+    // A fault-free hop must not depend on which advance path moves
+    // it: the sharded exchange (plain), the link-layer crossing
+    // (retransmit, no fault injected) and the serial exchange (a
+    // drop rate that never fires) all commit through one hop.  A
+    // dynamic policy's verdict can re-tighten between grant and
+    // commit, so a path that re-ran it at commit would diverge.
+    for (const SharingPolicy policy :
+         {SharingPolicy::Static, SharingPolicy::DynamicThreshold,
+          SharingPolicy::DelayDriven, SharingPolicy::ClassQos}) {
+        SCOPED_TRACE(sharingPolicyName(policy));
+        const TorusConfig plain = incastBase(policy);
+        TorusConfig rtx = plain;
+        rtx.common.recovery.policy = RecoveryPolicy::Retransmit;
+        TorusConfig serial = plain;
+        serial.common.faults.packetDropRate = 1e-15;
+
+        const Observed base = runTorus(plain, 1);
+        ASSERT_GT(base.delivered, 0u);
+        expectIdentical(base, runTorus(rtx, 1),
+                        "plain vs retransmit");
+        expectIdentical(base, runTorus(serial, 1),
+                        "plain vs serial exchange");
+    }
+}
+
 // ----------------------------------------- CLI flags + aliases
 
 void

@@ -127,6 +127,57 @@ TEST(ErrorPaths, ExcessiveBurstinessIsFatal)
                 "exceeds 1 packet/source/cycle");
 }
 
+// Malformed omega_network values enter the library through the
+// simulator or engine constructor, which rejects them as usage errors
+// before an internal assert can fire.
+
+TEST(ErrorPaths, BadOmegaGeometryIsFatal)
+{
+    const struct
+    {
+        std::uint32_t ports;
+        std::uint32_t radix;
+        const char *message;
+    } bad[] = {
+        {0, 4, "ports must be a power of the radix"},
+        {6, 4, "ports must be a power of the radix"},
+        {64, 0, "radix must be at least 2"},
+        {64, 1, "radix must be at least 2"},
+    };
+    for (const auto &geometry : bad) {
+        NetworkConfig cfg;
+        cfg.numPorts = geometry.ports;
+        cfg.radix = geometry.radix;
+        EXPECT_EXIT(NetworkSimulator sim(cfg), ExitWithError(1),
+                    geometry.message);
+    }
+}
+
+TEST(ErrorPaths, ZeroSlotsIsFatal)
+{
+    NetworkConfig cfg;
+    cfg.slotsPerBuffer = 0;
+    EXPECT_EXIT(NetworkSimulator sim(cfg), ExitWithError(1),
+                "slotsPerBuffer must be at least 1");
+}
+
+TEST(ErrorPaths, HotSpotFractionAboveOneIsFatal)
+{
+    NetworkConfig cfg;
+    cfg.traffic = "hotspot";
+    cfg.hotSpotFraction = 2.0;
+    EXPECT_EXIT(NetworkSimulator sim(cfg), ExitWithError(1),
+                "hot-spot fraction must be in \\[0, 1\\]");
+}
+
+TEST(ErrorPaths, BurstinessBelowOneIsFatal)
+{
+    NetworkConfig cfg;
+    cfg.burstiness = 0.5;
+    EXPECT_EXIT(NetworkSimulator sim(cfg), ExitWithError(1),
+                "burstiness must be at least 1");
+}
+
 TEST(ErrorPaths, UnprogrammedCircuitPanics)
 {
     micro::RoutingTable table;

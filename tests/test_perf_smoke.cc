@@ -4,8 +4,7 @@
  * on two worker threads, asserting it finishes quickly and that the
  * runner's throughput counters report plausible numbers.  This is a
  * canary for gross hot-path regressions, not a benchmark — the
- * real numbers live in bench/micro_buffers and the PERF_*.json
- * sidecars.
+ * real numbers live in bench/perf and bench/micro_buffers.
  *
  * Also home to the steady-state allocation check: once a
  * synchronized engine has warmed up, stepping it must perform zero

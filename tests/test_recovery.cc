@@ -429,18 +429,12 @@ TEST(Retransmission, MeshTransientFaultsBecomeLossless)
     expectAccountingClosed(rtx);
 }
 
-TEST(Retransmission, TorusWithTwoVcsIsAlsoLossless)
+/** Run @p cfg under retransmission: every injected transient fault
+ *  must be recovered, with audits clean and accounting closed. */
+void
+expectLosslessTorus(TorusConfig cfg)
 {
-    TorusConfig cfg; // blocking, two dateline VCs
-    cfg.width = 4;
-    cfg.height = 4;
-    cfg.offeredLoad = 0.2;
-    cfg.common.warmupCycles = 200;
-    cfg.common.measureCycles = 3000;
     cfg.common.faults.seed = 11;
-    cfg.common.faults.packetDropRate = 0.005;
-    cfg.common.faults.headerBitFlipRate = 0.005;
-    cfg.common.auditEveryCycles = 100;
     cfg.common.watchdogStallCycles = 2000;
     cfg.common.recovery.policy = RecoveryPolicy::Retransmit;
 
@@ -455,6 +449,51 @@ TEST(Retransmission, TorusWithTwoVcsIsAlsoLossless)
     EXPECT_EQ(report.auditViolations, 0u);
     EXPECT_EQ(result.watchdogTrips, 0u);
     expectAccountingClosed(sim);
+}
+
+TEST(Retransmission, TorusWithTwoVcsIsAlsoLossless)
+{
+    {
+        SCOPED_TRACE("4x4 static");
+        TorusConfig cfg; // blocking, two dateline VCs
+        cfg.width = 4;
+        cfg.height = 4;
+        cfg.offeredLoad = 0.2;
+        cfg.common.warmupCycles = 200;
+        cfg.common.measureCycles = 3000;
+        cfg.common.faults.packetDropRate = 0.005;
+        cfg.common.faults.headerBitFlipRate = 0.005;
+        cfg.common.auditEveryCycles = 100;
+        expectLosslessTorus(cfg);
+    }
+    // The link layer commits a granted frame without re-running a
+    // dynamic sharing policy, whose verdict can re-tighten between
+    // grant and commit: bench/sharing's incast point stays lossless
+    // under each policy.
+    for (const SharingPolicy policy :
+         {SharingPolicy::Static, SharingPolicy::DynamicThreshold,
+          SharingPolicy::DelayDriven, SharingPolicy::ClassQos}) {
+        SCOPED_TRACE(sharingPolicyName(policy));
+        TorusConfig cfg; // 8x8, blocking, two dateline VCs
+        cfg.slotsPerBuffer = 20;
+        cfg.traffic = "hotspot";
+        cfg.hotSpotFraction = 0.15;
+        cfg.offeredLoad = 0.25;
+        cfg.sharing.kind = policy;
+        cfg.sharing.dtAlpha = 1.0;
+        cfg.sharing.delayAgeScale = 32;
+        if (policy == SharingPolicy::ClassQos) {
+            cfg.sharing.qosClasses = 2;
+            cfg.trafficClasses = 2;
+        }
+        cfg.common.seed = 99;
+        cfg.common.warmupCycles = 200;
+        cfg.common.measureCycles = 400;
+        cfg.common.faults.packetDropRate = 0.01;
+        cfg.common.faults.headerBitFlipRate = 0.01;
+        cfg.common.auditEveryCycles = 64;
+        expectLosslessTorus(cfg);
+    }
 }
 
 // -------------------------------- rerouting around permanent failures

@@ -71,12 +71,21 @@ inFlight(PortId in_port, VcId vc)
     return pkt;
 }
 
+/** VC @p alloc assigns @p pkt on the link out of @p sw via @p out. */
+VcId
+vcOut(const core::VcAllocator &alloc, const core::Topology &topo,
+      const Packet &pkt, core::SwitchId sw, PortId out)
+{
+    return alloc.linkVc(pkt,
+                        core::linkIdOf(sw, out, topo.portsPerSwitch()),
+                        out);
+}
+
 TEST(VcAllocatorTest, SingleVcAlwaysAssignsVcZero)
 {
     core::TorusTopology torus(4, 4);
     const core::VcAllocator alloc(torus, VcPolicy::Dateline, 1);
-    EXPECT_EQ(alloc.linkVc(inFlight(kWest, 0), 3, kEast),
-              0u);
+    EXPECT_EQ(vcOut(alloc, torus, inFlight(kWest, 0), 3, kEast), 0u);
 }
 
 TEST(VcAllocatorTest, NonePolicyAssignsVcZero)
@@ -85,8 +94,7 @@ TEST(VcAllocatorTest, NonePolicyAssignsVcZero)
     const core::VcAllocator alloc(torus, VcPolicy::None, 2);
     // Node 3 = (3,0): east is the X wraparound, yet policy none
     // ignores the dateline.
-    EXPECT_EQ(alloc.linkVc(inFlight(kWest, 0), 3, kEast),
-              0u);
+    EXPECT_EQ(vcOut(alloc, torus, inFlight(kWest, 0), 3, kEast), 0u);
 }
 
 TEST(VcAllocatorTest, DatelineCrossingSwitchesToEscapeVc)
@@ -94,11 +102,9 @@ TEST(VcAllocatorTest, DatelineCrossingSwitchesToEscapeVc)
     core::TorusTopology torus(4, 4);
     const core::VcAllocator alloc(torus, VcPolicy::Dateline, 2);
     // Node 3 = (3,0): the eastward hop wraps around the X ring.
-    EXPECT_EQ(alloc.linkVc(inFlight(kWest, 0), 3, kEast),
-              1u);
+    EXPECT_EQ(vcOut(alloc, torus, inFlight(kWest, 0), 3, kEast), 1u);
     // Node 1 = (1,0): plain eastward hop, stay on VC 0.
-    EXPECT_EQ(alloc.linkVc(inFlight(kWest, 0), 1, kEast),
-              0u);
+    EXPECT_EQ(vcOut(alloc, torus, inFlight(kWest, 0), 1, kEast), 0u);
 }
 
 TEST(VcAllocatorTest, VcPersistsAlongRingAndResetsOnTurn)
@@ -106,15 +112,12 @@ TEST(VcAllocatorTest, VcPersistsAlongRingAndResetsOnTurn)
     core::TorusTopology torus(4, 4);
     const core::VcAllocator alloc(torus, VcPolicy::Dateline, 2);
     // Continuing east after the wrap: still dimension 0, keep VC 1.
-    EXPECT_EQ(alloc.linkVc(inFlight(kWest, 1), 0, kEast),
-              1u);
+    EXPECT_EQ(vcOut(alloc, torus, inFlight(kWest, 1), 0, kEast), 1u);
     // Turning north leaves the X ring: restart at VC 0 (node 1 is
     // not on the Y dateline for a northward hop).
-    EXPECT_EQ(alloc.linkVc(inFlight(kWest, 1), 1, kNorth),
-              0u);
+    EXPECT_EQ(vcOut(alloc, torus, inFlight(kWest, 1), 1, kNorth), 0u);
     // Fresh injection (no input port) starts at VC 0.
-    EXPECT_EQ(alloc.linkVc(inFlight(kInvalidPort, 0), 1, kEast),
-              0u);
+    EXPECT_EQ(vcOut(alloc, torus, inFlight(kInvalidPort, 0), 1, kEast), 0u);
 }
 
 TEST(VcAllocatorTest, MeshHasNoDateline)
@@ -123,8 +126,7 @@ TEST(VcAllocatorTest, MeshHasNoDateline)
     const core::VcAllocator alloc(mesh, VcPolicy::Dateline, 2);
     // The mesh edge has no wraparound channel, so nothing crosses a
     // dateline and every assignment stays on the packet's ring VC.
-    EXPECT_EQ(alloc.linkVc(inFlight(kWest, 0), 1, kEast),
-              0u);
+    EXPECT_EQ(vcOut(alloc, mesh, inFlight(kWest, 0), 1, kEast), 0u);
 }
 
 // ---------------------------------------------- escape-slot rule
